@@ -15,9 +15,13 @@ vet:
 # Repo-specific invariant analyzers (internal/analysis/kexlint): RCU
 # read-lock balance, helper-spec effect declarations, math/rand
 # determinism in replayable packages, and atomic/plain mixed field
-# access. Required in CI alongside go vet. staticcheck runs when
-# installed (CI installs it; locally it is optional, not vendored).
+# access. Required in CI alongside go vet and a gofmt check that fails on
+# any unformatted file. staticcheck runs when installed (CI installs it;
+# locally it is optional, not vendored).
 lint: vet
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; \
+	fi
 	$(GO) run ./cmd/kexlint -root .
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \

@@ -29,7 +29,8 @@
 //
 // A passing run becomes a compact TVAL certificate in the SLXO container,
 // under the ed25519 signature. A failing or inconclusive run fails closed:
-// the toolchain demotes the build to OptElide and records the reason.
+// the toolchain demotes the build to OptElide and records the reason, and
+// validates the demoted build against its own naive lowering in turn.
 package transval
 
 import (
@@ -112,7 +113,7 @@ func (r *Result) Certificate(wallNanos int64) *compile.TValCert {
 }
 
 // Validate proves (or refutes) that the optimized build refines its naive
-// lowering. funcs are the per-function artifact triples the MIR backend
+// lowering. funcs are the per-function artifact triples the compiler
 // captured; checks is the object's merged check ledger, cross-checked
 // against the re-derived site states.
 func Validate(name string, funcs []compile.MIRFuncArtifact, checks compile.CheckStats, opts Options) *Result {

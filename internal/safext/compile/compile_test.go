@@ -189,8 +189,9 @@ fn main() -> i64 {
 }
 
 func TestDeepExpressionEvalStack(t *testing.T) {
-	// Deeply right-nested arithmetic exercises the eval stack well past
-	// any register pool.
+	// Deeply right-nested arithmetic keeps every left operand live until
+	// the innermost add, well past the four allocatable registers: the
+	// naive build must spill.
 	expectR0(t, `
 fn main() -> i64 {
 	return 1 + (2 + (3 + (4 + (5 + (6 + (7 + (8 + (9 + (10 + (11 + 12))))))))));

@@ -96,11 +96,13 @@ func dce(f *Func) int {
 	}
 }
 
-// sweep drops blocks unreachable from the entry. Emit-state check sites in
-// dropped code flip to Folded: the naive backend emits that dead code (and
-// counts its checks), so the ledger invariant needs the sites accounted as
-// optimizer-discharged rather than vanished.
-func sweep(f *Func) int {
+// Sweep drops blocks unreachable from the entry and reports how many it
+// dropped. Emit-state check sites in dropped code flip to Folded: the naive
+// lowering carries that dead code (and counts its checks), so the ledger
+// invariant needs the sites accounted as discharged rather than vanished.
+// Every level runs it, because lowering leaves the code after a return,
+// break or continue in unterminated blocks.
+func Sweep(f *Func) int {
 	if len(f.Blocks) == 0 {
 		return 0
 	}

@@ -19,10 +19,11 @@ func (e *Error) Error() string { return fmt.Sprintf("slxc:%d: %s", e.Line, e.Msg
 // the analyze pass's proofs; check sites it discharges start in state
 // SiteElided, everything else in SiteEmit.
 //
-// Lowering matches the naive backend's evaluation order exactly — operand
-// order, crate-call argument order, for-loop bound snapshots, cleanup
-// emission on every exit path — so a MIR build and a naive build differ
-// only in instruction count, never in observable behavior.
+// Lowering fixes the language's evaluation order — operand order,
+// crate-call argument order, for-loop bound snapshots, cleanup emission on
+// every exit path — and every optimization level starts from it, so builds
+// at different levels differ only in instruction count, never in
+// observable behavior.
 func LowerFunc(fn *lang.FuncDecl, checked *lang.Checked, facts *analyze.Result) (*Func, error) {
 	lo := &lowerer{
 		f:       &Func{Name: fn.Name, NParams: len(fn.Params), MapKinds: make(map[string]string)},
@@ -375,8 +376,7 @@ func (lo *lowerer) lowerWhile(s *lang.WhileStmt) error {
 }
 
 func (lo *lowerer) lowerFor(s *lang.ForStmt) error {
-	// for v in from..to — to is evaluated first and snapshotted, matching
-	// the naive backend.
+	// for v in from..to — to is evaluated first and snapshotted.
 	tv, err := lo.lowerExpr(s.To)
 	if err != nil {
 		return err

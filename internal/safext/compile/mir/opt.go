@@ -49,7 +49,7 @@ func Optimize(f *Func) Stats {
 		st.Folded += n
 		changed += n
 
-		n = sweep(f)
+		n = Sweep(f)
 		st.BlocksRemoved += n
 		changed += n
 
@@ -70,7 +70,7 @@ func Optimize(f *Func) Stats {
 		}
 	}
 	thread(f)
-	st.BlocksRemoved += sweep(f)
+	st.BlocksRemoved += Sweep(f)
 	applyMutantReorder(f)
 	return st
 }

@@ -8,11 +8,11 @@ import (
 	"kex/internal/safext/lang"
 )
 
-// MIR-backed code generation (optimization level 2). Where the stack
-// machine round-trips every value through frame memory, this backend keeps
-// hot values in R6–R9 (callee-saved across helper and BPF-to-BPF calls),
-// uses immediate instruction forms for folded constants, and fuses
-// comparisons into conditional jumps. R0–R5 stay scratch/ABI registers.
+// Code generation for every optimization level. Each function is lowered
+// to MIR, optimized at OptMIR only, register-allocated and emitted: hot
+// values live in R6–R9 (callee-saved across helper and BPF-to-BPF calls),
+// folded constants use immediate instruction forms, and comparisons fuse
+// into conditional jumps. R0–R5 stay scratch/ABI registers.
 
 // compileFuncMIR lowers one function through the MIR pipeline and emits
 // its bytecode, merging the function's check-site ledger and optimization
@@ -29,7 +29,14 @@ func (c *compiler) compileFuncMIR(fn *lang.FuncDecl) error {
 	if c.keepMIR != nil {
 		naive = f.Clone()
 	}
-	st := mir.Optimize(f)
+	var st mir.Stats
+	if c.obj.Opt.Level == OptMIR {
+		st = mir.Optimize(f)
+	} else {
+		// Lowering leaves code after return/break/continue in unterminated
+		// blocks nothing jumps to; the emitter needs every block terminated.
+		st.BlocksRemoved = mir.Sweep(f)
+	}
 	al := mir.Allocate(f)
 	if c.keepMIR != nil {
 		*c.keepMIR = append(*c.keepMIR, MIRFuncArtifact{Name: fn.Name, Naive: naive, Opt: f, Alloc: al})
@@ -364,9 +371,11 @@ func (e *mirEmitter) target(dst mir.VReg, scratch isa.Register) isa.Register {
 	return scratch
 }
 
-// finish writes the computed value back when the destination is spilled.
+// finish writes the computed value back unless it was computed in the
+// destination's own register: a spilled destination, or a scratch detour
+// taken because the destination register aliases an operand.
 func (e *mirEmitter) finish(dst mir.VReg, t isa.Register) {
-	if _, ok := e.inReg(dst); !ok {
+	if r, ok := e.inReg(dst); !ok || r != t {
 		e.writeV(dst, t)
 	}
 }
@@ -410,6 +419,15 @@ func (e *mirEmitter) emitBin(in *mir.Insn) error {
 	}
 	e.finish(in.Dst, t)
 	return nil
+}
+
+var comparisonOps = map[string]struct{ unsigned, signed uint8 }{
+	"==": {isa.OpJeq, isa.OpJeq},
+	"!=": {isa.OpJne, isa.OpJne},
+	"<":  {isa.OpJlt, isa.OpJslt},
+	"<=": {isa.OpJle, isa.OpJsle},
+	">":  {isa.OpJgt, isa.OpJsgt},
+	">=": {isa.OpJge, isa.OpJsge},
 }
 
 func (e *mirEmitter) emitCmpInsn(in *mir.Insn) error {

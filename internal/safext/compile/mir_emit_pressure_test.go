@@ -4,9 +4,14 @@ import (
 	"testing"
 
 	"kex/internal/analysis/transval"
+	"kex/internal/ebpf/helpers"
+	"kex/internal/ebpf/interp"
 	"kex/internal/ebpf/isa"
+	"kex/internal/ebpf/maps"
+	"kex/internal/kernel"
 	"kex/internal/safext/analyze"
 	"kex/internal/safext/compile"
+	"kex/internal/safext/compile/mir"
 	"kex/internal/safext/lang"
 )
 
@@ -165,5 +170,96 @@ func TestPressureValidates(t *testing.T) {
 		if !res.OK {
 			t.Fatalf("%s fails validation: %s\n%s", c.name, res.Reason, res.Counterexample)
 		}
+	}
+}
+
+// TestScratchWriteBack pins results the emitter computes in a scratch
+// register because the destination's own register holds an operand: B is
+// the destination (x += x, x = y - x), or the 1/0 materialization would
+// clobber a compare operand (x = x < y). The scratch result must be written
+// back into x's register, or x silently keeps its old value. Only x += x is
+// spelled directly in SLX; the other two shapes are patched into the
+// lowered MIR, since the optimizer may produce them but the source language
+// cannot (a comparison is a bool, and plain assignment lowers through a
+// copy).
+func TestScratchWriteBack(t *testing.T) {
+	const prelude = "fn main() -> i64 { let mut x: i64 = 3; let y: i64 = 11; "
+	// rebind finds the instruction of the given op, points its destination
+	// at x (the vreg the first copy defines) and drops every copy of the
+	// old destination, so x's register is both operand and result.
+	rebind := func(op mir.OpKind, swap bool) func(*mir.Func) mir.VReg {
+		return func(f *mir.Func) mir.VReg {
+			var x, old mir.VReg
+			b := f.Blocks[0]
+			kept := b.Insns[:0]
+			for _, in := range b.Insns {
+				switch {
+				case in.Op == mir.OpCopy && x == 0:
+					x = in.Dst
+				case in.Op == op:
+					old, in.Dst = in.Dst, x
+					if swap {
+						in.A, in.B = in.B, in.A
+					}
+				case in.Op == mir.OpCopy && in.A == old:
+					continue
+				}
+				kept = append(kept, in)
+			}
+			b.Insns = kept
+			b.Term.Ret, b.Term.RetIsImm = x, false
+			return x
+		}
+	}
+	cases := []struct {
+		name  string
+		body  string
+		patch func(*mir.Func) mir.VReg
+		want  int64
+	}{
+		{"x += x", "x += x; return x; }", nil, 6},
+		{"x = y - x", "x -= y; return x; }", rebind(mir.OpBin, true), 8},
+		{"x = x < y", "let c: bool = x < y; return 0; }", rebind(mir.OpCmp, false), 1},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			f, err := lang.Parse(prelude + c.body)
+			if err != nil {
+				t.Fatalf("parse: %v", err)
+			}
+			checked, err := lang.Check(f)
+			if err != nil {
+				t.Fatalf("check: %v", err)
+			}
+			mf, err := mir.LowerFunc(checked.File.Func("main"), checked, nil)
+			if err != nil {
+				t.Fatalf("lower: %v", err)
+			}
+			mir.Sweep(mf)
+			var x mir.VReg
+			if c.patch != nil {
+				x = c.patch(mf)
+			} else {
+				x = mf.Blocks[0].Term.Ret
+			}
+			insns, al, err := compile.EmitMIR(mf)
+			if err != nil {
+				t.Fatalf("emit: %v\n%s", err, mf)
+			}
+			if al.Reg[x] < 0 {
+				t.Fatalf("x (v%d) is not register-resident\n%s", x, mf)
+			}
+			k := kernel.NewDefault()
+			mreg := maps.NewRegistry()
+			m := interp.NewMachine(k, helpers.NewRegistry(), mreg)
+			r0, err := m.Run(&isa.Program{Name: "writeback", Type: isa.Tracing, Insns: insns},
+				helpers.NewEnv(k, k.NewContext(0), mreg), interp.Options{})
+			if err != nil {
+				t.Fatalf("run: %v", err)
+			}
+			if int64(r0) != c.want {
+				t.Fatalf("R0 = %d, want %d\n%s", int64(r0), c.want, mf)
+			}
+		})
 	}
 }

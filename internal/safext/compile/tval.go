@@ -2,9 +2,9 @@ package compile
 
 import "kex/internal/safext/compile/mir"
 
-// MIRFuncArtifact is one function's evidence triple from the MIR backend:
-// the freshly-lowered (naive) IR, the optimized IR, and the register
-// assignment the emitter used. The translation validator replays both
+// MIRFuncArtifact is one function's evidence triple from the compiler: the
+// freshly-lowered (naive) IR, the IR as emitted (optimized at OptMIR,
+// swept only below it), and the register assignment the emitter used. The translation validator replays both
 // sides over the same deterministic model and proves refinement; the
 // optimized side executes *through* the allocation so register-allocation
 // bugs are as observable as wrong folds.

@@ -152,9 +152,9 @@ func BuildOptimizedProfiled(name, src string) (*compile.Object, *analyze.Result,
 }
 
 // BuildOptimizedMIR compiles SLX source through the full optimizing
-// pipeline: the analyze pass's proofs plus the mid-level IR backend
+// pipeline: the analyze pass's proofs plus the mid-level IR optimizer
 // (constant folding/propagation, loop-invariant code motion,
-// redundant-load elimination, linear-scan register allocation).
+// redundant-load elimination) ahead of register allocation.
 func BuildOptimizedMIR(name, src string) (*compile.Object, error) {
 	obj, _, _, err := BuildOptimizedMIRProfiled(name, src)
 	return obj, err
@@ -169,8 +169,11 @@ func BuildOptimizedMIR(name, src string) (*compile.Object, error) {
 // ordered effect log, consistent check ledger). A passing run attaches a
 // TVAL certificate that travels under the object signature; a failing or
 // inconclusive run fails closed by demoting the build to OptElide — the
-// analyzer-only backend whose lowering is the refinement baseline — with
-// the refutation recorded in the demotion certificate.
+// refinement baseline's own lowering, with no optimization pass — with
+// the refutation recorded in the demotion certificate. The demoted build
+// still shares the sweep, the register allocator and the emitter with the
+// optimized one, so it is validated in turn against its own naive lowering;
+// if that fails too, the build fails rather than ship either object.
 func BuildOptimizedMIRProfiled(name, src string) (*compile.Object, *analyze.Result, exec.PhaseTimings, error) {
 	rec := exec.NewPhaseRecorder()
 	f, err := lang.Parse(src)
@@ -197,9 +200,14 @@ func BuildOptimizedMIRProfiled(name, src string) (*compile.Object, *analyze.Resu
 	if res.OK {
 		obj.TVal = res.Certificate(tvWall)
 	} else {
-		demoted, derr := compile.CompileWithOptions(name, checked, compile.Options{Facts: facts, Level: compile.OptElide})
+		var demotedArts []compile.MIRFuncArtifact
+		demoted, derr := compile.CompileWithOptions(name, checked, compile.Options{Facts: facts, Level: compile.OptElide, KeepMIR: &demotedArts})
 		if derr != nil {
 			return nil, nil, nil, derr
+		}
+		if dres := transval.Validate(name, demotedArts, demoted.Checks, transval.Options{}); !dres.OK {
+			return nil, nil, nil, fmt.Errorf("toolchain: %s: demoted build fails translation validation: %s (optimized build: %s)",
+				name, dres.Reason, res.Reason)
 		}
 		demoted.TVal = &compile.TValCert{
 			Demoted:   true,
