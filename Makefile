@@ -39,18 +39,20 @@ race:
 	$(GO) test -race ./...
 
 # Fuzz smoke: a short differential-fuzz run of the SLX toolchain against
-# its Go reference model. CI runs the same budget.
+# its Go reference model, and of the isa ALU table's 32-bit contract. CI
+# runs the same budgets.
 fuzz:
 	$(GO) test -fuzz=Fuzz -fuzztime=10s -run '^$$' ./internal/safext/runtime
+	$(GO) test -fuzz=FuzzALU -fuzztime=10s -run '^$$' ./internal/ebpf/isa
 
 # Soundness smoke: the statecheck oracle (state-embedding cross-check of
 # verifier abstract states vs concrete interpreter traces) over its unit
-# suite, the deterministic seed corpus, the bug-catch regressions, and a
-# short continuous FuzzVerifierSoundness run. Witness repros land in
+# suite, the deterministic seed corpus, the bug-catch regressions, the
+# ALU edge-operand sweep, and a short continuous FuzzVerifierSoundness run. Witness repros land in
 # internal/ebpf/statecheck_witnesses/ for CI to upload.
 soundness:
 	$(GO) test ./internal/analysis/statecheck/ ./internal/bugcorpus/
-	$(GO) test -run 'TestSoundnessFuzz' ./internal/ebpf/
+	$(GO) test -run 'TestSoundness' ./internal/ebpf/
 	$(GO) test -fuzz FuzzVerifierSoundness -fuzztime 15s -run '^$$' ./internal/ebpf/
 
 # Translation validation (DESIGN.md §3.8): the validator over the corpus

@@ -20,6 +20,8 @@ package concheck
 import (
 	"fmt"
 	"strconv"
+
+	"kex/internal/ebpf/isa"
 )
 
 // provKind enumerates the key-provenance lattice. The only question that
@@ -178,34 +180,46 @@ func (p Prov) SameAffine(q Prov) bool {
 // IsConst reports the exact-constant case and its value.
 func (p Prov) IsConst() (uint64, bool) { return p.c, p.kind == provConst }
 
-// transferBin abstracts one 64-bit wraparound binary operation over the
-// lattice. Engine semantics match transval's model: masked shifts, defined
-// division by zero.
-func transferBin(op string, p, q Prov) Prov {
+// transferBin abstracts one binary ALU operation (an isa ALU op, 64- or
+// 32-bit) over the lattice. Two constants fold through isa.ALU, the
+// engine's own table, which keeps key expressions like 5*256+2 precise. A
+// 32-bit result keeps the low half of the abstraction: +, -, * and << fix
+// it from their operands' low halves alone.
+func transferBin(op uint8, is64 bool, p, q Prov) Prov {
 	if p.kind == provBot || q.kind == provBot {
 		return botProv() // operand undefined: unreached, stay at bottom
 	}
-	// Constant folding keeps key expressions like 5*256+2 precise.
 	if pv, ok := p.IsConst(); ok {
 		if qv, ok := q.IsConst(); ok {
-			return foldConst(op, pv, qv)
+			v, ok := isa.ALU(op, pv, qv, is64)
+			if !ok {
+				return unknownProv()
+			}
+			return constProv(v)
 		}
 	}
+	// Non-injective operators (%, /, &, |, ^, >>, s>>) and every unhandled
+	// mix degrade: a cpu()-derived key pushed through them may alias across
+	// shards (cpu()%2 with 4 shards), so the CPU pedigree is forfeit.
+	r := degradeMix(p, q)
 	switch op {
-	case "+", "-":
-		return transferAffine(op, p, q)
-	case "*":
-		return transferMul(p, q)
-	case "<<":
+	case isa.OpAdd, isa.OpSub:
+		r = transferAffine(op, p, q)
+	case isa.OpMul:
+		r = transferMul(p, q)
+	case isa.OpLsh:
 		if qv, ok := q.IsConst(); ok && p.kind == provCPU {
 			sh := qv & 63
-			return Prov{kind: provCPU, a: p.a << sh, b: p.b << sh}
+			if !is64 {
+				sh = qv & 31
+			}
+			r = Prov{kind: provCPU, a: p.a << sh, b: p.b << sh}
 		}
 	}
-	// Non-injective operators (%, /, &, |, ^, >>) and every unhandled mix
-	// degrade: a cpu()-derived key pushed through them may alias across
-	// shards (cpu()%2 with 4 shards), so the CPU pedigree is forfeit.
-	return degradeMix(p, q)
+	if !is64 {
+		r = r.truncate(32)
+	}
+	return r
 }
 
 // degradeMix is the transfer fallthrough: ctx composed with constants stays
@@ -221,7 +235,7 @@ func degradeMix(p, q Prov) Prov {
 }
 
 // transferAffine handles +/- where affine CPU forms stay affine.
-func transferAffine(op string, p, q Prov) Prov {
+func transferAffine(op uint8, p, q Prov) Prov {
 	neg := func(x Prov) Prov {
 		switch x.kind {
 		case provConst:
@@ -231,7 +245,7 @@ func transferAffine(op string, p, q Prov) Prov {
 		}
 		return x
 	}
-	if op == "-" {
+	if op == isa.OpSub {
 		q = neg(q)
 	}
 	add := func(x, y Prov) Prov {
@@ -282,40 +296,6 @@ func degrade(p Prov) Prov {
 		return ctxProv()
 	case provBot:
 		return botProv()
-	}
-	return unknownProv()
-}
-
-// foldConst evaluates one operation over two constants with the engine's
-// semantics (the same table transval's model uses).
-func foldConst(op string, a, b uint64) Prov {
-	switch op {
-	case "+":
-		return constProv(a + b)
-	case "-":
-		return constProv(a - b)
-	case "*":
-		return constProv(a * b)
-	case "/":
-		if b == 0 {
-			return constProv(0) // engine-defined x/0 (check may trap first)
-		}
-		return constProv(a / b)
-	case "%":
-		if b == 0 {
-			return constProv(a) // engine-defined x%0
-		}
-		return constProv(a % b)
-	case "&":
-		return constProv(a & b)
-	case "|":
-		return constProv(a | b)
-	case "^":
-		return constProv(a ^ b)
-	case "<<":
-		return constProv(a << (b & 63))
-	case ">>":
-		return constProv(a >> (b & 63))
 	}
 	return unknownProv()
 }

@@ -1,6 +1,10 @@
 package concheck
 
-import "testing"
+import (
+	"testing"
+
+	"kex/internal/ebpf/isa"
+)
 
 // TestProvJoin exercises the lattice join table.
 func TestProvJoin(t *testing.T) {
@@ -91,32 +95,47 @@ func TestAliasDecisions(t *testing.T) {
 func TestTransferBin(t *testing.T) {
 	cases := []struct {
 		name string
-		op   string
+		op   uint8
 		p, q Prov
 		want Prov
 	}{
-		{"const-fold-add", "+", constProv(5), constProv(256), constProv(261)},
-		{"const-fold-div0", "/", constProv(9), constProv(0), constProv(0)},
-		{"const-fold-mod0", "%", constProv(9), constProv(0), constProv(9)},
-		{"const-fold-shift-mask", "<<", constProv(1), constProv(65), constProv(2)},
-		{"cpu-plus-const", "+", cpuProv(), constProv(10), Prov{kind: provCPU, a: 1, b: 10}},
-		{"const-minus-cpu", "-", constProv(10), cpuProv(), Prov{kind: provCPU, a: ^uint64(0), b: 10}},
-		{"cpu-times-const", "*", cpuProv(), constProv(8), Prov{kind: provCPU, a: 8}},
-		{"cpu-shl-const", "<<", cpuProv(), constProv(3), Prov{kind: provCPU, a: 8}},
-		{"cpu-plus-cpu", "+", cpuProv(), cpuProv(), Prov{kind: provCPU, a: 2}},
-		{"cpu-minus-cpu-vanishes", "-", cpuProv(), cpuProv(), unknownProv()},
-		{"cpu-mod-degrades", "%", cpuProv(), constProv(2), unknownProv()},
-		{"cpu-and-degrades", "&", cpuProv(), constProv(7), unknownProv()},
-		{"ctx-plus-const-stays-ctx", "+", ctxProv(), constProv(1), ctxProv()},
-		{"ctx-times-const-stays-ctx", "*", ctxProv(), constProv(3), ctxProv()},
-		{"ctx-and-const-stays-ctx", "&", ctxProv(), constProv(0xff), ctxProv()},
-		{"ctx-plus-ctx-stays-ctx", "+", ctxProv(), ctxProv(), ctxProv()},
-		{"ctx-plus-cpu-unknown", "+", ctxProv(), cpuProv(), unknownProv()},
-		{"unknown-poisons", "+", unknownProv(), constProv(1), unknownProv()},
+		{"const-fold-add", isa.OpAdd, constProv(5), constProv(256), constProv(261)},
+		{"const-fold-div0", isa.OpDiv, constProv(9), constProv(0), constProv(0)},
+		{"const-fold-mod0", isa.OpMod, constProv(9), constProv(0), constProv(9)},
+		{"const-fold-shift-mask", isa.OpLsh, constProv(1), constProv(65), constProv(2)},
+		{"cpu-plus-const", isa.OpAdd, cpuProv(), constProv(10), Prov{kind: provCPU, a: 1, b: 10}},
+		{"const-minus-cpu", isa.OpSub, constProv(10), cpuProv(), Prov{kind: provCPU, a: ^uint64(0), b: 10}},
+		{"cpu-times-const", isa.OpMul, cpuProv(), constProv(8), Prov{kind: provCPU, a: 8}},
+		{"cpu-shl-const", isa.OpLsh, cpuProv(), constProv(3), Prov{kind: provCPU, a: 8}},
+		{"cpu-plus-cpu", isa.OpAdd, cpuProv(), cpuProv(), Prov{kind: provCPU, a: 2}},
+		{"cpu-minus-cpu-vanishes", isa.OpSub, cpuProv(), cpuProv(), unknownProv()},
+		{"cpu-mod-degrades", isa.OpMod, cpuProv(), constProv(2), unknownProv()},
+		{"cpu-and-degrades", isa.OpAnd, cpuProv(), constProv(7), unknownProv()},
+		{"ctx-plus-const-stays-ctx", isa.OpAdd, ctxProv(), constProv(1), ctxProv()},
+		{"ctx-times-const-stays-ctx", isa.OpMul, ctxProv(), constProv(3), ctxProv()},
+		{"ctx-and-const-stays-ctx", isa.OpAnd, ctxProv(), constProv(0xff), ctxProv()},
+		{"ctx-plus-ctx-stays-ctx", isa.OpAdd, ctxProv(), ctxProv(), ctxProv()},
+		{"ctx-plus-cpu-unknown", isa.OpAdd, ctxProv(), cpuProv(), unknownProv()},
+		{"unknown-poisons", isa.OpAdd, unknownProv(), constProv(1), unknownProv()},
 	}
 	for _, c := range cases {
-		if got := transferBin(c.op, c.p, c.q); got != c.want {
-			t.Errorf("%s: %v %s %v = %v, want %v", c.name, c.p, c.op, c.q, got, c.want)
+		if got := transferBin(c.op, true, c.p, c.q); got != c.want {
+			t.Errorf("%s: %v op %#x %v = %v, want %v", c.name, c.p, c.op, c.q, got, c.want)
+		}
+	}
+	// 32-bit: low halves in, and a shift amount masked to the 32-bit width.
+	for _, c := range []struct {
+		name string
+		op   uint8
+		p, q Prov
+		want Prov
+	}{
+		{"w-const-div", isa.OpDiv, constProv(0xffff_ffff), constProv(^uint64(0)), constProv(1)},
+		{"w-cpu-plus-const", isa.OpAdd, cpuProv(), constProv(1 << 32), cpuProv()},
+		{"w-cpu-shl-40", isa.OpLsh, cpuProv(), constProv(40), Prov{kind: provCPU, a: 256}},
+	} {
+		if got := transferBin(c.op, false, c.p, c.q); got != c.want {
+			t.Errorf("%s: %v op %#x %v (32-bit) = %v, want %v", c.name, c.p, c.op, c.q, got, c.want)
 		}
 	}
 }

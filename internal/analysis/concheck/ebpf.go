@@ -369,13 +369,6 @@ func (a *bpfAnalyzer) stepALU(pc int, ins isa.Instruction, st *bpfState) {
 	}
 }
 
-// aluMnemonic maps ALU op bits to the shared transfer function's operator.
-var aluMnemonic = map[uint8]string{
-	isa.OpAdd: "+", isa.OpSub: "-", isa.OpMul: "*", isa.OpDiv: "/",
-	isa.OpOr: "|", isa.OpAnd: "&", isa.OpLsh: "<<", isa.OpRsh: ">>",
-	isa.OpMod: "%", isa.OpXor: "^",
-}
-
 // stepArith interprets one ALU/ALU64 instruction.
 func (a *bpfAnalyzer) stepArith(ins isa.Instruction, st *bpfState) {
 	op := ins.ALUOp()
@@ -398,7 +391,7 @@ func (a *bpfAnalyzer) stepArith(ins isa.Instruction, st *bpfState) {
 		return
 	case isa.OpNeg:
 		if dst.kind == bScalar {
-			st.regs[ins.Dst] = scalar(transferBin("-", constProv(0), dst.prov), dst.taint)
+			st.regs[ins.Dst] = scalar(transferBin(isa.OpSub, !alu32, constProv(0), dst.prov), dst.taint)
 		} else {
 			st.regs[ins.Dst] = scalar(unknownProv(), dst.taint)
 		}
@@ -432,16 +425,7 @@ func (a *bpfAnalyzer) stepArith(ins isa.Instruction, st *bpfState) {
 		return
 	}
 
-	mn, ok := aluMnemonic[op]
-	if !ok {
-		st.regs[ins.Dst] = scalar(unknownProv(), dst.taint|src.taint)
-		return
-	}
-	p := transferBin(mn, dst.prov, src.prov)
-	if alu32 {
-		p = p.truncate(32)
-	}
-	st.regs[ins.Dst] = scalar(p, dst.taint|src.taint)
+	st.regs[ins.Dst] = scalar(transferBin(op, !alu32, dst.prov, src.prov), dst.taint|src.taint)
 }
 
 // helperCall interprets one helper call, recording map access sites.

@@ -218,14 +218,48 @@ func TestBPFReadOnly(t *testing.T) {
 	}
 }
 
-// TestBPFSnapshotFallback: the local pass degrades arithmetic it does not
-// model (arsh), but the verifier's snapshot table still knows the spilled
-// key is a constant — the analyzer must recover it from there.
+// TestBPF32BitKeys: a 32-bit op folds at the engine's width — low halves
+// in, zero-extended result out — so the key label is the value the engine
+// computes.
+func TestBPF32BitKeys(t *testing.T) {
+	e := newBPFEnv(t)
+	for _, c := range []struct {
+		name string
+		key  []isa.Instruction
+		want string
+	}{
+		{"w6=-1; w6/=-1", []isa.Instruction{
+			isa.ALU32Imm(isa.OpMov, isa.R6, -1),
+			isa.ALU32Imm(isa.OpDiv, isa.R6, -1),
+		}, "const 1"},
+		{"r6=5; w6=-w6", []isa.Instruction{
+			isa.Mov64Imm(isa.R6, 5),
+			{Op: isa.ClassALU | isa.OpNeg, Dst: isa.R6},
+		}, "const 4294967291"},
+	} {
+		insns := lookupSeq(e, "allow", c.key, 1)
+		insns = append(insns,
+			isa.LoadMem(isa.SizeDW, isa.R0, isa.R0, 0),
+			isa.Exit(),
+		)
+		rep := e.analyze(t, "key32", insns, map[string]string{"allow": "hash"}, nil)
+		if got := rep.Maps[0].Sites[0].Key; got != c.want {
+			t.Errorf("%s: lookup key %q, want %q", c.name, got, c.want)
+		}
+	}
+}
+
+// TestBPFSnapshotFallback: the local pass forfeits a key that passed
+// through cpu() (its provenance cannot be constant), but the verifier's
+// tnum knows cpu()&0 is 0, so its snapshot table holds the spilled key as a
+// constant — the analyzer must recover it from there.
 func TestBPFSnapshotFallback(t *testing.T) {
 	e := newBPFEnv(t)
 	key := []isa.Instruction{
-		isa.Mov64Imm(isa.R6, 10),
-		isa.ALU64Imm(isa.OpArsh, isa.R6, 1), // r6 = 5; concheck alone sees unknown
+		isa.Call(e.cpu),
+		isa.Mov64Reg(isa.R6, isa.R0),
+		isa.ALU64Imm(isa.OpAnd, isa.R6, 0),
+		isa.ALU64Imm(isa.OpAdd, isa.R6, 5), // r6 = 5; concheck alone sees unknown
 	}
 	insns := lookupSeq(e, "allow", key, 1)
 	insns = append(insns,

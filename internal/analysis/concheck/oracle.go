@@ -3,6 +3,7 @@ package concheck
 import (
 	"fmt"
 
+	"kex/internal/ebpf/isa"
 	"kex/internal/safext/compile/mir"
 	"kex/internal/safext/lang"
 )
@@ -348,7 +349,7 @@ func (it *oInterp) call(f *mir.Func, args []uint64) (uint64, error) {
 			if !t.BIsImm {
 				b = fr.vregs[t.B]
 			}
-			if oCmp(t.Rel, t.Signed, a, b) {
+			if isa.Cond(t.Rel, false, a, b) {
 				cur = f.BlockByID(t.To)
 			} else {
 				cur = f.BlockByID(t.Else)
@@ -405,10 +406,15 @@ func (it *oInterp) step(fr *oFrame, in *mir.Insn, args []uint64) error {
 	case mir.OpNeg:
 		set(-fr.vregs[in.A])
 	case mir.OpBin:
-		set(oBin(in.Bin, fr.vregs[in.A], b()))
+		// Arithmetic is the engine's table. The oracle's independence
+		// from the analyzer lies in what it observes — real interleavings
+		// of the map operations — not in re-deriving isa.ALU, which isa's
+		// spec test and the differential fuzzer's Go reference model pin.
+		v, _ := isa.ALU(in.Bin, fr.vregs[in.A], b(), true)
+		set(v)
 	case mir.OpCmp:
 		var r uint64
-		if oCmp(in.Bin, in.Signed, fr.vregs[in.A], b()) {
+		if isa.Cond(in.Bin, false, fr.vregs[in.A], b()) {
 			r = 1
 		}
 		set(r)
@@ -586,75 +592,6 @@ func oShape(name string, v uint64) uint64 {
 		return v & 0xffffffff
 	}
 	return v
-}
-
-// oBin evaluates one binary operation with the engine's semantics.
-func oBin(op string, a, b uint64) uint64 {
-	switch op {
-	case "+":
-		return a + b
-	case "-":
-		return a - b
-	case "*":
-		return a * b
-	case "/":
-		if b == 0 {
-			return 0
-		}
-		return a / b
-	case "%":
-		if b == 0 {
-			return a
-		}
-		return a % b
-	case "&":
-		return a & b
-	case "|":
-		return a | b
-	case "^":
-		return a ^ b
-	case "<<":
-		return a << (b & 63)
-	case ">>":
-		return a >> (b & 63)
-	}
-	return 0
-}
-
-func oCmp(rel string, signed bool, a, b uint64) bool {
-	if signed {
-		sa, sb := int64(a), int64(b)
-		switch rel {
-		case "==":
-			return sa == sb
-		case "!=":
-			return sa != sb
-		case "<":
-			return sa < sb
-		case "<=":
-			return sa <= sb
-		case ">":
-			return sa > sb
-		case ">=":
-			return sa >= sb
-		}
-		return false
-	}
-	switch rel {
-	case "==":
-		return a == b
-	case "!=":
-		return a != b
-	case "<":
-		return a < b
-	case "<=":
-		return a <= b
-	case ">":
-		return a > b
-	case ">=":
-		return a >= b
-	}
-	return false
 }
 
 // oMix is splitmix64 over an FNV accumulation — the repo's standard

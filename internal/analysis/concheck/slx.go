@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 
+	"kex/internal/ebpf/isa"
 	"kex/internal/safext/compile"
 	"kex/internal/safext/compile/mir"
 	"kex/internal/safext/lang"
@@ -261,13 +262,13 @@ func (st *funcState) fixpointValues() error {
 					set(in.Dst, st.val(in.A))
 				case mir.OpNeg:
 					av := st.val(in.A)
-					set(in.Dst, absVal{prov: transferBin("-", constProv(0), av.prov), taint: av.taint})
+					set(in.Dst, absVal{prov: transferBin(isa.OpSub, true, constProv(0), av.prov), taint: av.taint})
 				case mir.OpBin:
 					av, bv := st.val(in.A), st.operandB(in)
 					if av.prov.kind == provBot || bv.prov.kind == provBot {
 						continue // operand not yet defined (back edge)
 					}
-					set(in.Dst, absVal{prov: transferBin(in.Bin, av.prov, bv.prov), taint: av.taint | bv.taint})
+					set(in.Dst, absVal{prov: transferBin(in.Bin, true, av.prov, bv.prov), taint: av.taint | bv.taint})
 				case mir.OpCmp:
 					av, bv := st.val(in.A), st.operandB(in)
 					set(in.Dst, absVal{prov: degrade(av.prov.Join(bv.prov)), taint: av.taint | bv.taint})

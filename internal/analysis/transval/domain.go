@@ -3,6 +3,7 @@ package transval
 import (
 	"math"
 
+	"kex/internal/ebpf/isa"
 	"kex/internal/safext/analyze"
 	"kex/internal/safext/compile/mir"
 )
@@ -104,25 +105,25 @@ func transfer(in *mir.Insn, lift func(mir.VReg) analyze.Val) analyze.Val {
 			b = lift(in.B)
 		}
 		switch in.Bin {
-		case "+":
+		case isa.OpAdd:
 			return a.Add(b)
-		case "-":
+		case isa.OpSub:
 			return a.Sub(b)
-		case "*":
+		case isa.OpMul:
 			return a.Mul(b)
-		case "/":
+		case isa.OpDiv:
 			return a.Div(b)
-		case "%":
+		case isa.OpMod:
 			return a.Mod(b)
-		case "&":
+		case isa.OpAnd:
 			return a.And(b)
-		case "|":
+		case isa.OpOr:
 			return a.Or(b)
-		case "^":
+		case isa.OpXor:
 			return a.Xor(b)
-		case "<<":
+		case isa.OpLsh:
 			return a.Shl(b)
-		case ">>":
+		case isa.OpRsh:
 			return a.Shr(b)
 		}
 	}

@@ -3,18 +3,22 @@ package transval
 import (
 	"fmt"
 
+	"kex/internal/ebpf/isa"
 	"kex/internal/safext/compile"
 	"kex/internal/safext/compile/mir"
 )
 
 // The reference machine. Both sides of a build execute here, over one
-// deterministic model of the engine: 64-bit wraparound arithmetic, masked
-// shifts, the engine's defined division by zero where no check is emitted,
-// byte arrays with trap-or-poison bounds semantics, stateful keyed maps,
-// and uninterpreted-but-deterministic crate calls. Because both sides run
-// in the *same* model, only internal consistency matters — fidelity of the
-// model to the real engine is covered separately by the differential
-// fuzzer over the naive build.
+// deterministic model of the engine: arithmetic and compares through
+// isa.ALU and isa.Cond (the table the engines execute and the optimizer
+// folds with), the trap of an emitted div check, byte arrays with
+// trap-or-poison bounds semantics, stateful keyed maps, and
+// uninterpreted-but-deterministic crate calls. Sharing the table with the
+// optimizer costs the validator no independence: what it checks is the
+// optimizer's rewrites (identities, immediate forms, discharged sites,
+// register allocation), and both sides run in the *same* model, so only
+// internal consistency matters. The table itself is pinned by isa's spec
+// test and by the differential fuzzer's Go reference model.
 
 const (
 	stopRet = iota
@@ -193,7 +197,7 @@ func (m *machine) call(fa *compile.MIRFuncArtifact, args []uint64, top bool) (ui
 				}
 			}
 			to := t.Else
-			if cmpEval(t.Rel, t.Signed, a, b) {
+			if isa.Cond(t.Rel, false, a, b) {
 				to = t.To
 			}
 			next := f.BlockByID(to)
@@ -282,44 +286,14 @@ func (m *machine) step(fr *frame, in *mir.Insn) *stop {
 		if st != nil {
 			return st
 		}
-		var res uint64
-		switch in.Bin {
-		case "+":
-			res = a + b
-		case "-":
-			res = a - b
-		case "*":
-			res = a * b
-		case "/":
-			if b == 0 {
-				if emitSite(fr.f, in.Site) {
-					return &stop{kind: stopTrap, trap: compile.TrapDivByZero}
-				}
-				res = 0 // engine-defined x/0
-			} else {
-				res = a / b
-			}
-		case "%":
-			if b == 0 {
-				if emitSite(fr.f, in.Site) {
-					return &stop{kind: stopTrap, trap: compile.TrapDivByZero}
-				}
-				res = a // engine-defined x%0
-			} else {
-				res = a % b
-			}
-		case "&":
-			res = a & b
-		case "|":
-			res = a | b
-		case "^":
-			res = a ^ b
-		case "<<":
-			res = a << (b & 63)
-		case ">>":
-			res = a >> (b & 63)
-		default:
-			return &stop{kind: stopErr, msg: "unknown operator " + in.Bin}
+		// The trap is the naive build's div check; where none was emitted
+		// the ALU's defined x/0 and x%0 results apply.
+		if b == 0 && (in.Bin == isa.OpDiv || in.Bin == isa.OpMod) && emitSite(fr.f, in.Site) {
+			return &stop{kind: stopTrap, trap: compile.TrapDivByZero}
+		}
+		res, ok := isa.ALU(in.Bin, a, b, true)
+		if !ok {
+			return &stop{kind: stopErr, msg: fmt.Sprintf("unknown operator %#x", in.Bin)}
 		}
 		fr.write(in.Dst, res)
 
@@ -333,7 +307,7 @@ func (m *machine) step(fr *frame, in *mir.Insn) *stop {
 			return st
 		}
 		var res uint64
-		if cmpEval(in.Bin, in.Signed, a, b) {
+		if isa.Cond(in.Bin, false, a, b) {
 			res = 1
 		}
 		fr.write(in.Dst, res)
@@ -420,43 +394,4 @@ func (m *machine) step(fr *frame, in *mir.Insn) *stop {
 		return &stop{kind: stopErr, msg: "unknown instruction"}
 	}
 	return nil
-}
-
-// cmpEval mirrors the engine's compare semantics (same table the fold pass
-// uses, re-derived here so the validator does not share the optimizer's
-// code paths).
-func cmpEval(rel string, signed bool, a, b uint64) bool {
-	if signed {
-		sa, sb := int64(a), int64(b)
-		switch rel {
-		case "==":
-			return sa == sb
-		case "!=":
-			return sa != sb
-		case "<":
-			return sa < sb
-		case "<=":
-			return sa <= sb
-		case ">":
-			return sa > sb
-		case ">=":
-			return sa >= sb
-		}
-		return false
-	}
-	switch rel {
-	case "==":
-		return a == b
-	case "!=":
-		return a != b
-	case "<":
-		return a < b
-	case "<=":
-		return a <= b
-	case ">":
-		return a > b
-	case ">=":
-		return a >= b
-	}
-	return false
 }

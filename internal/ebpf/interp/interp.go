@@ -286,20 +286,12 @@ func (r *run) exec(pc int, regs [11]uint64, depth int) (uint64, error) {
 		}
 
 		switch ins.Class() {
-		case isa.ClassALU64:
-			v, ok := EvalALU(ins.ALUOp(), regs[ins.Dst], r.src(ins, regs), true)
+		case isa.ClassALU64, isa.ClassALU:
+			v, ok := isa.ALU(ins.ALUOp(), regs[ins.Dst], r.src(ins, regs), ins.Class() == isa.ClassALU64)
 			if !ok {
-				return 0, fmt.Errorf("interp: pc %d: bad shift", pc)
+				return 0, fmt.Errorf("interp: pc %d: undefined ALU op %#x", pc, ins.Op)
 			}
 			regs[ins.Dst] = v
-			pc++
-
-		case isa.ClassALU:
-			v, ok := EvalALU(ins.ALUOp(), regs[ins.Dst], r.src(ins, regs), false)
-			if !ok {
-				return 0, fmt.Errorf("interp: pc %d: bad shift", pc)
-			}
-			regs[ins.Dst] = uint64(uint32(v))
 			pc++
 
 		case isa.ClassLD:
@@ -375,7 +367,7 @@ func (r *run) exec(pc int, regs [11]uint64, depth int) (uint64, error) {
 			case ins.IsUnconditionalJump():
 				pc += 1 + int(ins.Off)
 			default:
-				if EvalJump(ins, regs[ins.Dst], r.src(ins, regs)) {
+				if isa.Cond(ins.ALUOp(), ins.Class() == isa.ClassJMP32, regs[ins.Dst], r.src(ins, regs)) {
 					pc += 1 + int(ins.Off)
 				} else {
 					pc++
@@ -441,99 +433,4 @@ func (r *run) atomic(ins isa.Instruction, addr uint64, size int, regs []uint64) 
 		return r.crash(f)
 	}
 	return nil
-}
-
-// EvalALU evaluates one ALU operation. ok is false for oversized shifts.
-// It is exported for reuse by the JIT.
-func EvalALU(op uint8, dst, src uint64, is64 bool) (uint64, bool) {
-	width := uint64(64)
-	if !is64 {
-		width = 32
-		dst, src = uint64(uint32(dst)), uint64(uint32(src))
-	}
-	switch op {
-	case isa.OpAdd:
-		return dst + src, true
-	case isa.OpSub:
-		return dst - src, true
-	case isa.OpMul:
-		return dst * src, true
-	case isa.OpDiv:
-		if src == 0 {
-			return 0, true
-		}
-		return dst / src, true
-	case isa.OpMod:
-		if src == 0 {
-			return dst, true
-		}
-		return dst % src, true
-	case isa.OpOr:
-		return dst | src, true
-	case isa.OpAnd:
-		return dst & src, true
-	case isa.OpXor:
-		return dst ^ src, true
-	case isa.OpMov:
-		return src, true
-	case isa.OpLsh:
-		// Shift amounts are taken modulo the width, the modern eBPF
-		// semantics (dst <<= src & (width-1)).
-		return dst << (src & (width - 1)), true
-	case isa.OpRsh:
-		return dst >> (src & (width - 1)), true
-	case isa.OpArsh:
-		src &= width - 1
-		if !is64 {
-			return uint64(uint32(int32(uint32(dst)) >> src)), true
-		}
-		return uint64(int64(dst) >> src), true
-	case isa.OpNeg:
-		return -dst, true
-	case isa.OpEnd:
-		return dst, true
-	}
-	return 0, false
-}
-
-// EvalJump evaluates a conditional jump. It is exported for reuse by the JIT.
-func EvalJump(ins isa.Instruction, dst, src uint64) bool {
-	if ins.Class() == isa.ClassJMP32 {
-		dst, src = uint64(uint32(dst)), uint64(uint32(src))
-		switch ins.ALUOp() {
-		case isa.OpJsgt:
-			return int32(dst) > int32(src)
-		case isa.OpJsge:
-			return int32(dst) >= int32(src)
-		case isa.OpJslt:
-			return int32(dst) < int32(src)
-		case isa.OpJsle:
-			return int32(dst) <= int32(src)
-		}
-	}
-	switch ins.ALUOp() {
-	case isa.OpJeq:
-		return dst == src
-	case isa.OpJne:
-		return dst != src
-	case isa.OpJgt:
-		return dst > src
-	case isa.OpJge:
-		return dst >= src
-	case isa.OpJlt:
-		return dst < src
-	case isa.OpJle:
-		return dst <= src
-	case isa.OpJset:
-		return dst&src != 0
-	case isa.OpJsgt:
-		return int64(dst) > int64(src)
-	case isa.OpJsge:
-		return int64(dst) >= int64(src)
-	case isa.OpJslt:
-		return int64(dst) < int64(src)
-	case isa.OpJsle:
-		return int64(dst) <= int64(src)
-	}
-	return false
 }

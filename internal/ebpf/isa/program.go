@@ -95,7 +95,7 @@ func (p *Program) ValidateStructure() error {
 		switch ins.Class() {
 		case ClassALU, ClassALU64:
 			op := ins.ALUOp()
-			if _, ok := aluMnemonics[op]; !ok && op != OpNeg && op != OpEnd {
+			if _, ok := ALU(op, 0, 0, true); !ok {
 				return fmt.Errorf("isa: %s: insn %d: unknown ALU op %#x", p.Name, i, ins.Op)
 			}
 		case ClassJMP, ClassJMP32:

@@ -2,8 +2,8 @@ package isa
 
 import "fmt"
 
-// aluMnemonics maps ALU operation bits to their assembly operators.
-var aluMnemonics = map[uint8]string{
+// aluOperators maps ALU operation bits to their assembly operators.
+var aluOperators = map[uint8]string{
 	OpAdd:  "+=",
 	OpSub:  "-=",
 	OpMul:  "*=",
@@ -55,7 +55,7 @@ func (ins Instruction) String() string {
 		if ins.ALUOp() == OpNeg {
 			return fmt.Sprintf("%s = -%s", dst, dst)
 		}
-		op, ok := aluMnemonics[ins.ALUOp()]
+		op, ok := aluOperators[ins.ALUOp()]
 		if !ok {
 			return fmt.Sprintf("alu(%#02x)", ins.Op)
 		}

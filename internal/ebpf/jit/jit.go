@@ -129,30 +129,21 @@ func (c *Compiled) compileInsn(pc int, ins isa.Instruction) (op, error) {
 func (c *Compiled) compileALU(ins isa.Instruction) (op, error) {
 	is64 := ins.Class() == isa.ClassALU64
 	aluop, dst := ins.ALUOp(), ins.Dst
+	// Every defined op succeeds on every operand, so an undefined one is
+	// refused here and the closures need no failure branch.
+	if _, ok := isa.ALU(aluop, 0, 0, is64); !ok {
+		return nil, fmt.Errorf("jit: undefined ALU op %#x", ins.Op)
+	}
 	if ins.UsesX() {
 		src := ins.Src
 		return func(ex *exec, r *regs, pc int) int {
-			v, ok := interp.EvalALU(aluop, r[dst], r[src], is64)
-			if !ok {
-				return ex.fail(fmt.Errorf("jit: bad shift at pc %d", pc))
-			}
-			if !is64 {
-				v = uint64(uint32(v))
-			}
-			r[dst] = v
+			r[dst], _ = isa.ALU(aluop, r[dst], r[src], is64)
 			return pc + 1
 		}, nil
 	}
 	imm := uint64(int64(ins.Imm))
 	return func(ex *exec, r *regs, pc int) int {
-		v, ok := interp.EvalALU(aluop, r[dst], imm, is64)
-		if !ok {
-			return ex.fail(fmt.Errorf("jit: bad shift at pc %d", pc))
-		}
-		if !is64 {
-			v = uint64(uint32(v))
-		}
-		r[dst] = v
+		r[dst], _ = isa.ALU(aluop, r[dst], imm, is64)
 		return pc + 1
 	}, nil
 }
@@ -254,20 +245,19 @@ func (c *Compiled) compileJump(ins isa.Instruction) (op, error) {
 		}
 	}
 	off := int(ins.Off)
+	jop, jmp32 := cmp.ALUOp(), cmp.Class() == isa.ClassJMP32
 	if cmp.UsesX() {
 		dst, src := cmp.Dst, cmp.Src
-		cmpIns := cmp
 		return func(ex *exec, r *regs, pc int) int {
-			if interp.EvalJump(cmpIns, r[dst], r[src]) {
+			if isa.Cond(jop, jmp32, r[dst], r[src]) {
 				return pc + 1 + off
 			}
 			return pc + 1
 		}, nil
 	}
 	dst, imm := cmp.Dst, uint64(int64(cmp.Imm))
-	cmpIns := cmp
 	return func(ex *exec, r *regs, pc int) int {
-		if interp.EvalJump(cmpIns, r[dst], imm) {
+		if isa.Cond(jop, jmp32, r[dst], imm) {
 			return pc + 1 + off
 		}
 		return pc + 1

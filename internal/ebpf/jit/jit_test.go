@@ -3,6 +3,7 @@ package jit
 import (
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"kex/internal/ebpf/helpers"
@@ -121,6 +122,29 @@ func TestJITRejectsUnresolvedMapRef(t *testing.T) {
 	}}
 	if _, err := Compile(prog, Config{}); err == nil {
 		t.Fatal("compiled with unresolved map ref")
+	}
+}
+
+// An undefined ALU op (op bits 0xe0) is refused when the JIT compiles the
+// instruction, and stops the interpreter with an error naming the opcode.
+func TestUndefinedALUOp(t *testing.T) {
+	f := newFixture(t)
+	for _, class := range []uint8{isa.ClassALU, isa.ClassALU64} {
+		bad := isa.Instruction{Op: class | 0xe0 | isa.SrcK, Dst: isa.R0, Imm: 1}
+		if _, err := (&Compiled{}).compileALU(bad); err == nil || !strings.Contains(err.Error(), "undefined ALU op") {
+			t.Errorf("%#x: compileALU err = %v, want undefined ALU op", bad.Op, err)
+		}
+		prog := &isa.Program{Name: "undef", Type: isa.Tracing, Insns: []isa.Instruction{
+			isa.Mov64Imm(isa.R0, 0),
+			bad,
+			isa.Exit(),
+		}}
+		if _, err := Compile(prog, Config{}); err == nil {
+			t.Errorf("%#x: JIT compiled an undefined ALU op", bad.Op)
+		}
+		if _, err := f.m.Run(prog, f.env, interp.Options{}); err == nil || !strings.Contains(err.Error(), "undefined ALU op") {
+			t.Errorf("%#x: interpreter err = %v, want undefined ALU op", bad.Op, err)
+		}
 	}
 }
 

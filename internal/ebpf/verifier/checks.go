@@ -173,12 +173,9 @@ func varPart(p Reg) Reg {
 func (v *Verifier) adjustScalars(st *state, op uint8, dst, src Reg, is64 bool) (Reg, error) {
 	// Exact evaluation when both operands are known.
 	if dst.IsConst() && src.IsConst() {
-		val, ok := evalConst(op, dst.ConstValue(), src.ConstValue(), is64)
+		val, ok := isa.ALU(op, dst.ConstValue(), src.ConstValue(), is64)
 		if !ok {
-			return Reg{}, v.errf(st.pc, "invalid shift amount %d", src.ConstValue())
-		}
-		if !is64 {
-			val = uint64(uint32(val))
+			return Reg{}, v.errf(st.pc, "unknown ALU op %#x", op)
 		}
 		return constScalar(val), nil
 	}
@@ -290,56 +287,6 @@ func (v *Verifier) adjustScalars(st *state, op uint8, dst, src Reg, is64 bool) (
 	}
 	out.knownBounds()
 	return out, nil
-}
-
-func evalConst(op uint8, a, b uint64, is64 bool) (uint64, bool) {
-	width := uint64(64)
-	if !is64 {
-		width = 32
-	}
-	switch op {
-	case isa.OpAdd:
-		return a + b, true
-	case isa.OpSub:
-		return a - b, true
-	case isa.OpMul:
-		return a * b, true
-	case isa.OpDiv:
-		if b == 0 {
-			return 0, true
-		}
-		return a / b, true
-	case isa.OpMod:
-		if b == 0 {
-			return a, true
-		}
-		return a % b, true
-	case isa.OpAnd:
-		return a & b, true
-	case isa.OpOr:
-		return a | b, true
-	case isa.OpXor:
-		return a ^ b, true
-	case isa.OpLsh:
-		return a << (b & (width - 1)), true
-	case isa.OpRsh:
-		b &= width - 1
-		if !is64 {
-			return uint64(uint32(a) >> b), true
-		}
-		return a >> b, true
-	case isa.OpArsh:
-		b &= width - 1
-		if !is64 {
-			return uint64(uint32(int32(uint32(a)) >> b)), true
-		}
-		return uint64(int64(a) >> b), true
-	case isa.OpNeg:
-		return -a, true
-	case isa.OpEnd:
-		return a, true
-	}
-	return 0, false
 }
 
 func sAddOverflows(a, b int64) bool {

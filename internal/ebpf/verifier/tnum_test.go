@@ -151,7 +151,7 @@ func TestAdjustScalarsSoundness(t *testing.T) {
 		if err != nil {
 			return true // rejected is fine; only accepted results must be sound
 		}
-		concrete, ok := evalConst(op, a, b, true)
+		concrete, ok := isa.ALU(op, a, b, true)
 		if !ok {
 			return true
 		}

@@ -1,6 +1,9 @@
 package mir
 
-import "kex/internal/safext/lang"
+import (
+	"kex/internal/ebpf/isa"
+	"kex/internal/safext/lang"
+)
 
 // Constant folding and constant/copy propagation.
 //
@@ -8,8 +11,12 @@ import "kex/internal/safext/lang"
 // exactly one definition in the function holds the same value at every use
 // (lowering guarantees defs dominate uses). Copies are propagated only
 // through chains of single-def vregs — a copy of a multi-def vreg is a
-// snapshot and must not be substituted. Arithmetic folds use the engine's
-// exact ALU semantics (64-bit wraparound, masked shifts); division and
+// snapshot and must not be substituted. Arithmetic and compares fold
+// through isa.ALU and isa.Cond, the functions both engines execute, so a
+// fold cannot disagree with the engine about what an op computes. What the
+// translation validator checks is this pass's rewrites (identities,
+// immediate forms, discharged sites); the table itself is pinned by isa's
+// spec test and the differential fuzzer's Go reference model. Division and
 // modulo by a constant zero are never folded so the emitted check (or the
 // engine's defined div-by-zero result) is preserved bit-for-bit.
 
@@ -72,101 +79,29 @@ func (fc *foldCtx) subst(v *VReg) bool {
 	return false
 }
 
-func commutative(op string) bool {
+func commutative(op uint8) bool {
 	switch op {
-	case "+", "*", "&", "|", "^":
+	case isa.OpAdd, isa.OpMul, isa.OpAnd, isa.OpOr, isa.OpXor:
 		return true
 	}
 	return false
 }
 
-// evalBin mirrors interp.EvalALU's 64-bit semantics exactly. ok is false
-// only for division/modulo by zero, which the caller must not fold.
-func evalBin(op string, a, b uint64) (uint64, bool) {
-	switch op {
-	case "+":
-		if s := a + b; mutantActive("fold-overflow") && s < a {
-			return ^uint64(0), true
-		}
-		return a + b, true
-	case "-":
-		return a - b, true
-	case "*":
-		return a * b, true
-	case "/":
-		if b == 0 {
-			return 0, false
-		}
-		return a / b, true
-	case "%":
-		if b == 0 {
-			return 0, false
-		}
-		return a % b, true
-	case "&":
-		return a & b, true
-	case "|":
-		return a | b, true
-	case "^":
-		return a ^ b, true
-	case "<<":
-		return a << (b & 63), true
-	case ">>":
-		return a >> (b & 63), true
+// evalBin folds an OpBin over constants. ok is false only for division or
+// modulo by zero, which the caller must not fold.
+func evalBin(op uint8, a, b uint64) (uint64, bool) {
+	if b == 0 && (op == isa.OpDiv || op == isa.OpMod) {
+		return 0, false
 	}
-	return 0, false
+	if s := a + b; op == isa.OpAdd && mutantActive("fold-overflow") && s < a {
+		return ^uint64(0), true
+	}
+	return isa.ALU(op, a, b, true)
 }
 
-func evalCmp(rel string, signed bool, a, b uint64) bool {
-	if signed {
-		sa, sb := int64(a), int64(b)
-		switch rel {
-		case "==":
-			return sa == sb
-		case "!=":
-			return sa != sb
-		case "<":
-			return sa < sb
-		case "<=":
-			return sa <= sb
-		case ">":
-			return sa > sb
-		case ">=":
-			return sa >= sb
-		}
-		return false
-	}
-	switch rel {
-	case "==":
-		return a == b
-	case "!=":
-		return a != b
-	case "<":
-		return a < b
-	case "<=":
-		return a <= b
-	case ">":
-		return a > b
-	case ">=":
-		return a >= b
-	}
-	return false
-}
-
-// mirrorRel swaps a relation's operand order: a<b ⇔ b>a.
-func mirrorRel(rel string) string {
-	switch rel {
-	case "<":
-		return ">"
-	case "<=":
-		return ">="
-	case ">":
-		return "<"
-	case ">=":
-		return "<="
-	}
-	return rel // == and != are symmetric
-}
+// reflexive is a relation's value on equal operands (MIR relations are
+// never OpJset, the one jump op that depends on the shared value).
+func reflexive(rel uint8) bool { return isa.Cond(rel, false, 0, 0) }
 
 func fitsInt32(v int64) bool { return v == int64(int32(v)) }
 
@@ -305,10 +240,10 @@ func (fc *foldCtx) rewriteBin(in *Insn) int {
 	// vregs always hold equal values here.
 	if !in.BIsImm && in.A == in.B && in.A != 0 {
 		switch in.Bin {
-		case "-", "^":
+		case isa.OpSub, isa.OpXor:
 			fc.toConst(in, 0)
 			return n + 1
-		case "&", "|":
+		case isa.OpAnd, isa.OpOr:
 			fc.toCopy(in, in.A)
 			return n + 1
 		}
@@ -327,12 +262,12 @@ func (fc *foldCtx) rewriteBin(in *Insn) int {
 	// Identities with a constant B.
 	if bConst {
 		switch in.Bin {
-		case "+", "-", "|", "^":
+		case isa.OpAdd, isa.OpSub, isa.OpOr, isa.OpXor:
 			if cb == 0 {
 				fc.toCopy(in, in.A)
 				return n + 1
 			}
-		case "*":
+		case isa.OpMul:
 			if cb == 1 {
 				fc.toCopy(in, in.A)
 				return n + 1
@@ -341,7 +276,7 @@ func (fc *foldCtx) rewriteBin(in *Insn) int {
 				fc.toConst(in, 0)
 				return n + 1
 			}
-		case "&":
+		case isa.OpAnd:
 			if cb == 0 {
 				fc.toConst(in, 0)
 				return n + 1
@@ -350,19 +285,19 @@ func (fc *foldCtx) rewriteBin(in *Insn) int {
 				fc.toCopy(in, in.A)
 				return n + 1
 			}
-		case "/":
+		case isa.OpDiv:
 			if cb == 1 {
 				fc.f.flipSite(in.Site)
 				fc.toCopy(in, in.A)
 				return n + 1
 			}
-		case "%":
+		case isa.OpMod:
 			if cb == 1 {
 				fc.f.flipSite(in.Site)
 				fc.toConst(in, 0)
 				return n + 1
 			}
-		case "<<", ">>":
+		case isa.OpLsh, isa.OpRsh:
 			if uint64(cb)&63 == 0 {
 				fc.f.flipSite(in.Site)
 				fc.toCopy(in, in.A)
@@ -377,7 +312,7 @@ func (fc *foldCtx) rewriteBin(in *Insn) int {
 	// when the immediate doesn't fit the int32 form.
 	if bConst && !in.BIsImm {
 		switch in.Bin {
-		case "<<", ">>":
+		case isa.OpLsh, isa.OpRsh:
 			mask := uint64(63)
 			if mutantActive("fold-shift-mask-wrong") {
 				mask = 31
@@ -385,7 +320,7 @@ func (fc *foldCtx) rewriteBin(in *Insn) int {
 			in.BIsImm, in.BImm, in.B = true, int64(uint64(cb)&mask), 0
 			fc.f.flipSite(in.Site)
 			n++
-		case "/", "%":
+		case isa.OpDiv, isa.OpMod:
 			if cb != 0 {
 				fc.f.flipSite(in.Site)
 				if fitsInt32(cb) {
@@ -421,7 +356,7 @@ func (fc *foldCtx) rewriteCmp(in *Insn) int {
 	}
 	if aConst && bConst {
 		r := int64(0)
-		if evalCmp(in.Bin, in.Signed, uint64(ca), uint64(cb)) {
+		if isa.Cond(in.Bin, false, uint64(ca), uint64(cb)) {
 			r = 1
 		}
 		fc.toConst(in, r)
@@ -429,14 +364,14 @@ func (fc *foldCtx) rewriteCmp(in *Insn) int {
 	}
 	if !in.BIsImm && in.A == in.B && in.A != 0 {
 		r := int64(0)
-		if in.Bin == "==" || in.Bin == "<=" || in.Bin == ">=" {
+		if reflexive(in.Bin) {
 			r = 1
 		}
 		fc.toConst(in, r)
 		return n + 1
 	}
 	if aConst && !bConst {
-		in.Bin = mirrorRel(in.Bin)
+		in.Bin = isa.SwapCond(in.Bin)
 		in.A, in.B = in.B, in.A
 		bConst, cb = true, ca
 		n++
@@ -444,7 +379,7 @@ func (fc *foldCtx) rewriteCmp(in *Insn) int {
 	if bConst && !in.BIsImm && fitsInt32(cb) {
 		in.BIsImm, in.BImm, in.B = true, cb, 0
 		if mutantActive("cmp-sign-swap") {
-			in.Signed = !in.Signed
+			in.Bin = signSwapped(in.Bin)
 		}
 		n++
 	}
@@ -471,7 +406,7 @@ func (fc *foldCtx) rewriteTerm(t *Terminator) int {
 		}
 		if aConst && bConst {
 			to := t.Else
-			if evalCmp(t.Rel, t.Signed, uint64(ca), uint64(cb)) {
+			if isa.Cond(t.Rel, false, uint64(ca), uint64(cb)) {
 				to = t.To
 			}
 			*t = Terminator{Kind: TermJmp, To: to, Line: t.Line}
@@ -479,14 +414,14 @@ func (fc *foldCtx) rewriteTerm(t *Terminator) int {
 		}
 		if !t.BIsImm && t.A == t.B && t.A != 0 {
 			to := t.Else
-			if t.Rel == "==" || t.Rel == "<=" || t.Rel == ">=" {
+			if reflexive(t.Rel) {
 				to = t.To
 			}
 			*t = Terminator{Kind: TermJmp, To: to, Line: t.Line}
 			return n + 1
 		}
 		if aConst && !bConst {
-			t.Rel = mirrorRel(t.Rel)
+			t.Rel = isa.SwapCond(t.Rel)
 			t.A, t.B = t.B, t.A
 			bConst, cb = true, ca
 			n++
@@ -494,7 +429,7 @@ func (fc *foldCtx) rewriteTerm(t *Terminator) int {
 		if bConst && !t.BIsImm && fitsInt32(cb) {
 			t.BIsImm, t.BImm, t.B = true, cb, 0
 			if mutantActive("cmp-sign-swap") {
-				t.Signed = !t.Signed
+				t.Rel = signSwapped(t.Rel)
 			}
 			n++
 		}

@@ -3,6 +3,7 @@ package mir
 import (
 	"fmt"
 
+	"kex/internal/ebpf/isa"
 	"kex/internal/safext/analyze"
 	"kex/internal/safext/lang"
 )
@@ -396,7 +397,7 @@ func (lo *lowerer) lowerFor(s *lang.ForStmt) error {
 	header, latch, exit, _ := lo.beginLoop()
 	bodyStart := lo.newDeferred()
 	// v >= to (signed) exits the loop.
-	header.Term = Terminator{Kind: TermCond, Rel: ">=", Signed: true, A: v, B: to,
+	header.Term = Terminator{Kind: TermCond, Rel: isa.OpJsge, A: v, B: to,
 		To: exit.ID, Else: bodyStart.ID, Line: s.Line}
 	lo.place(bodyStart)
 	lo.cur = bodyStart
@@ -404,7 +405,7 @@ func (lo *lowerer) lowerFor(s *lang.ForStmt) error {
 		return err
 	}
 	// The latch increments the induction variable.
-	latch.Insns = append(latch.Insns, Insn{Op: OpBin, Bin: "+", Dst: v, A: v,
+	latch.Insns = append(latch.Insns, Insn{Op: OpBin, Bin: isa.OpAdd, Dst: v, A: v,
 		BIsImm: true, BImm: 1, Arr: -1, Site: SiteNone, Line: s.Line})
 	lo.endLoop(latch, exit, header)
 	lo.popScope()
@@ -426,9 +427,12 @@ func (lo *lowerer) lowerAssign(s *lang.AssignStmt) error {
 			lo.emit(Insn{Op: OpCopy, Dst: b.v, A: v, Arr: -1, Site: SiteNone, Line: s.Line})
 			return nil
 		}
-		op := s.Op[:1]
+		op, ok := binOps[s.Op[:1]]
+		if !ok {
+			return &Error{s.Line, "unknown assignment operator " + s.Op}
+		}
 		site := SiteNone
-		if op == "/" || op == "%" {
+		if op == isa.OpDiv || op == isa.OpMod {
 			site = lo.f.newSite("div", lo.facts != nil && lo.facts.AssignDivNonZero[s], s.Line)
 		}
 		lo.emit(Insn{Op: OpBin, Bin: op, Dst: b.v, A: b.v, B: v, Arr: -1, Site: site, Line: s.Line})
@@ -457,9 +461,12 @@ func (lo *lowerer) lowerAssign(s *lang.AssignStmt) error {
 		// the store — same index, same bounds).
 		tmp := lo.f.NewVReg()
 		lo.emit(Insn{Op: OpArrLoad, Dst: tmp, Arr: b.arr, A: idx, Site: site, Line: s.Line})
-		op := s.Op[:1]
+		op, ok := binOps[s.Op[:1]]
+		if !ok {
+			return &Error{s.Line, "unknown assignment operator " + s.Op}
+		}
 		divSite := SiteNone
-		if op == "/" || op == "%" {
+		if op == isa.OpDiv || op == isa.OpMod {
 			divSite = lo.f.newSite("div", lo.facts != nil && lo.facts.AssignDivNonZero[s], s.Line)
 		}
 		res := lo.f.NewVReg()
@@ -517,8 +524,8 @@ func (lo *lowerer) lowerCond(e lang.Expr, t, f BlockID) error {
 			if err != nil {
 				return err
 			}
-			lo.seal(Terminator{Kind: TermCond, Rel: e.Op, Signed: lo.checked.SignedCmp[e],
-				A: l, B: r, To: t, Else: f, Line: e.Line})
+			rel := relOp(e.Op, lo.checked.SignedCmp[e])
+			lo.seal(Terminator{Kind: TermCond, Rel: rel, A: l, B: r, To: t, Else: f, Line: e.Line})
 			lo.cur = lo.placeNew()
 			return nil
 		}
@@ -527,7 +534,7 @@ func (lo *lowerer) lowerCond(e lang.Expr, t, f BlockID) error {
 	if err != nil {
 		return err
 	}
-	lo.seal(Terminator{Kind: TermCond, Rel: "!=", A: v, BIsImm: true, To: t, Else: f})
+	lo.seal(Terminator{Kind: TermCond, Rel: isa.OpJne, A: v, BIsImm: true, To: t, Else: f})
 	lo.cur = lo.placeNew()
 	return nil
 }
@@ -590,7 +597,7 @@ func (lo *lowerer) lowerExpr(e lang.Expr) (VReg, error) {
 		case "-":
 			lo.emit(Insn{Op: OpNeg, Dst: d, A: x, Arr: -1, Site: SiteNone, Line: e.Line})
 		case "!":
-			lo.emit(Insn{Op: OpCmp, Bin: "==", Dst: d, A: x, BIsImm: true, Arr: -1, Site: SiteNone, Line: e.Line})
+			lo.emit(Insn{Op: OpCmp, Bin: isa.OpJeq, Dst: d, A: x, BIsImm: true, Arr: -1, Site: SiteNone, Line: e.Line})
 		default:
 			return 0, &Error{e.Line, "unknown unary operator " + e.Op}
 		}
@@ -639,8 +646,8 @@ func (lo *lowerer) lowerBinary(e *lang.BinaryExpr) (VReg, error) {
 			return 0, err
 		}
 		d := lo.f.NewVReg()
-		lo.emit(Insn{Op: OpCmp, Bin: e.Op, Signed: lo.checked.SignedCmp[e],
-			Dst: d, A: l, B: r, Arr: -1, Site: SiteNone, Line: e.Line})
+		rel := relOp(e.Op, lo.checked.SignedCmp[e])
+		lo.emit(Insn{Op: OpCmp, Bin: rel, Dst: d, A: l, B: r, Arr: -1, Site: SiteNone, Line: e.Line})
 		return d, nil
 	}
 
@@ -652,18 +659,19 @@ func (lo *lowerer) lowerBinary(e *lang.BinaryExpr) (VReg, error) {
 	if err != nil {
 		return 0, err
 	}
-	site := SiteNone
-	switch e.Op {
-	case "/", "%":
-		site = lo.f.newSite("div", lo.facts != nil && lo.facts.DivNonZero[e], e.Line)
-	case "<<", ">>":
-		site = lo.f.newSite("shift-mask", lo.facts != nil && lo.facts.ShiftBounded[e], e.Line)
-	case "+", "-", "*", "&", "|", "^":
-	default:
+	op, ok := binOps[e.Op]
+	if !ok {
 		return 0, &Error{e.Line, "unknown arithmetic operator " + e.Op}
 	}
+	site := SiteNone
+	switch op {
+	case isa.OpDiv, isa.OpMod:
+		site = lo.f.newSite("div", lo.facts != nil && lo.facts.DivNonZero[e], e.Line)
+	case isa.OpLsh, isa.OpRsh:
+		site = lo.f.newSite("shift-mask", lo.facts != nil && lo.facts.ShiftBounded[e], e.Line)
+	}
 	d := lo.f.NewVReg()
-	lo.emit(Insn{Op: OpBin, Bin: e.Op, Dst: d, A: l, B: r, Arr: -1, Site: site, Line: e.Line})
+	lo.emit(Insn{Op: OpBin, Bin: op, Dst: d, A: l, B: r, Arr: -1, Site: site, Line: e.Line})
 	return d, nil
 }
 

@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"strings"
 
+	"kex/internal/ebpf/isa"
 	"kex/internal/safext/lang"
 )
 
@@ -46,12 +47,12 @@ const (
 	OpConst
 	// OpCopy sets Dst = A.
 	OpCopy
-	// OpBin sets Dst = A <Bin> B, 64-bit wraparound semantics. Division
-	// and modulo carry a div check site; shifts carry a mask site.
+	// OpBin sets Dst = isa.ALU(Bin, A, B) at 64 bits. Division and modulo
+	// carry a div check site; shifts carry a mask site.
 	OpBin
 	// OpNeg sets Dst = -A (two's complement).
 	OpNeg
-	// OpCmp sets Dst = 1 if A <Bin> B else 0; Signed selects the compare.
+	// OpCmp sets Dst = 1 if isa.Cond(Bin, A, B) at 64 bits, else 0.
 	OpCmp
 	// OpArrLoad sets Dst = array[A] (byte, zero-extended); Site is the
 	// bounds check.
@@ -66,6 +67,31 @@ const (
 	// OpCallUser calls SLX function Name with integer Args.
 	OpCallUser
 )
+
+// binOps maps SLX arithmetic spellings to the ALU op an OpBin carries.
+var binOps = map[string]uint8{
+	"+": isa.OpAdd, "-": isa.OpSub, "*": isa.OpMul, "/": isa.OpDiv, "%": isa.OpMod,
+	"&": isa.OpAnd, "|": isa.OpOr, "^": isa.OpXor, "<<": isa.OpLsh, ">>": isa.OpRsh,
+}
+
+// relOps maps SLX comparison spellings to the jump op an OpCmp or TermCond
+// carries, by signedness. Equality has one op for both.
+var relOps = map[string]struct{ unsigned, signed uint8 }{
+	"==": {isa.OpJeq, isa.OpJeq},
+	"!=": {isa.OpJne, isa.OpJne},
+	"<":  {isa.OpJlt, isa.OpJslt},
+	"<=": {isa.OpJle, isa.OpJsle},
+	">":  {isa.OpJgt, isa.OpJsgt},
+	">=": {isa.OpJge, isa.OpJsge},
+}
+
+// relOp resolves a comparison spelling at the given signedness.
+func relOp(spelling string, signed bool) uint8 {
+	if signed {
+		return relOps[spelling].signed
+	}
+	return relOps[spelling].unsigned
+}
 
 // SiteNone marks an instruction with no check site.
 const SiteNone = -1
@@ -116,8 +142,9 @@ type Insn struct {
 	IdxImm   int64 // resolved constant index for OpArrLoad/OpArrStore
 	IdxIsImm bool
 
-	Bin    string // operator for OpBin, relation for OpCmp
-	Signed bool   // OpCmp signedness
+	// Bin is the isa ALU op of an OpBin or the isa jump op of an OpCmp;
+	// a signed relation is one of the OpJs* ops.
+	Bin uint8
 
 	Arr  int // array ordinal for array ops (else -1)
 	Imm  int64
@@ -143,8 +170,7 @@ const (
 // Terminator ends a block.
 type Terminator struct {
 	Kind     TermKind
-	Rel      string // TermCond relation: == != < <= > >=
-	Signed   bool
+	Rel      uint8 // TermCond relation: an isa jump op, as Insn.Bin of OpCmp
 	A, B     VReg
 	BImm     int64
 	BIsImm   bool
@@ -272,15 +298,11 @@ func (in Insn) String() string {
 	case OpCopy:
 		return fmt.Sprintf("v%d = v%d", in.Dst, in.A)
 	case OpBin:
-		return fmt.Sprintf("v%d = v%d %s %s%s", in.Dst, in.A, in.Bin, in.bOperand(), site)
+		return fmt.Sprintf("v%d = v%d %s %s%s", in.Dst, in.A, binName(in.Bin), in.bOperand(), site)
 	case OpNeg:
 		return fmt.Sprintf("v%d = -v%d", in.Dst, in.A)
 	case OpCmp:
-		s := "u"
-		if in.Signed {
-			s = "s"
-		}
-		return fmt.Sprintf("v%d = v%d %s.%s %s", in.Dst, in.A, in.Bin, s, in.bOperand())
+		return fmt.Sprintf("v%d = v%d %s %s", in.Dst, in.A, relName(in.Bin), in.bOperand())
 	case OpArrLoad:
 		return fmt.Sprintf("v%d = arr%d[%s]%s", in.Dst, in.Arr, in.idxOperand(), site)
 	case OpArrStore:
@@ -335,11 +357,7 @@ func (t Terminator) String() string {
 		if t.BIsImm {
 			b = fmt.Sprintf("%d", t.BImm)
 		}
-		s := "u"
-		if t.Signed {
-			s = "s"
-		}
-		return fmt.Sprintf("if v%d %s.%s %s -> b%d else b%d", t.A, t.Rel, s, b, t.To, t.Else)
+		return fmt.Sprintf("if v%d %s %s -> b%d else b%d", t.A, relName(t.Rel), b, t.To, t.Else)
 	case TermRet:
 		if t.RetIsImm {
 			return fmt.Sprintf("ret %d", t.RetImm)
@@ -349,4 +367,28 @@ func (t Terminator) String() string {
 		return fmt.Sprintf("trap %d", t.TrapCode)
 	}
 	return "unterminated"
+}
+
+// binName spells an OpBin op for the dump.
+func binName(op uint8) string {
+	for s, o := range binOps {
+		if o == op {
+			return s
+		}
+	}
+	return fmt.Sprintf("alu%#x", op)
+}
+
+// relName spells a relation for the dump with its signedness: "<.s",
+// "<.u"; equality prints as ".u".
+func relName(op uint8) string {
+	for s, r := range relOps {
+		switch op {
+		case r.unsigned:
+			return s + ".u"
+		case r.signed:
+			return s + ".s"
+		}
+	}
+	return fmt.Sprintf("jmp%#x", op)
 }

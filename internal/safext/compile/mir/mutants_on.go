@@ -83,3 +83,17 @@ func applyMutantReorder(f *Func) {
 		}
 	}
 }
+
+// signSwapped is the cmp-sign-swap seam's rewrite: the same relation with
+// the other signedness.
+func signSwapped(rel uint8) uint8 {
+	for _, r := range relOps {
+		switch rel {
+		case r.unsigned:
+			return r.signed
+		case r.signed:
+			return r.unsigned
+		}
+	}
+	return rel
+}

@@ -251,11 +251,6 @@ func (e *mirEmitter) siteEmitted(idx int) bool {
 
 // ---- instruction emission ---------------------------------------------------
 
-var binOps = map[string]uint8{
-	"+": isa.OpAdd, "-": isa.OpSub, "*": isa.OpMul, "/": isa.OpDiv, "%": isa.OpMod,
-	"&": isa.OpAnd, "|": isa.OpOr, "^": isa.OpXor, "<<": isa.OpLsh, ">>": isa.OpRsh,
-}
-
 func (e *mirEmitter) emitInsn(in *mir.Insn) error {
 	switch in.Op {
 	case mir.OpParam:
@@ -381,10 +376,6 @@ func (e *mirEmitter) finish(dst mir.VReg, t isa.Register) {
 }
 
 func (e *mirEmitter) emitBin(in *mir.Insn) error {
-	op, ok := binOps[in.Bin]
-	if !ok {
-		return fmt.Errorf("compile: unknown arithmetic operator %q", in.Bin)
-	}
 	var rB isa.Register
 	if !in.BIsImm {
 		rB = e.readV(in.B, isa.R2)
@@ -400,10 +391,10 @@ func (e *mirEmitter) emitBin(in *mir.Insn) error {
 
 	if e.siteEmitted(in.Site) {
 		switch in.Bin {
-		case "/", "%":
+		case isa.OpDiv, isa.OpMod:
 			e.emit(isa.JmpImm(isa.OpJne, rB, 0, 1))
 			e.trapJump(TrapDivByZero)
-		case "<<", ">>":
+		case isa.OpLsh, isa.OpRsh:
 			// Mask a copy: rB may be a live allocated register.
 			if rB != isa.R2 {
 				e.emit(isa.Mov64Reg(isa.R2, rB))
@@ -413,32 +404,15 @@ func (e *mirEmitter) emitBin(in *mir.Insn) error {
 		}
 	}
 	if in.BIsImm {
-		e.emit(isa.ALU64Imm(op, t, int32(in.BImm)))
+		e.emit(isa.ALU64Imm(in.Bin, t, int32(in.BImm)))
 	} else {
-		e.emit(isa.ALU64Reg(op, t, rB))
+		e.emit(isa.ALU64Reg(in.Bin, t, rB))
 	}
 	e.finish(in.Dst, t)
 	return nil
 }
 
-var comparisonOps = map[string]struct{ unsigned, signed uint8 }{
-	"==": {isa.OpJeq, isa.OpJeq},
-	"!=": {isa.OpJne, isa.OpJne},
-	"<":  {isa.OpJlt, isa.OpJslt},
-	"<=": {isa.OpJle, isa.OpJsle},
-	">":  {isa.OpJgt, isa.OpJsgt},
-	">=": {isa.OpJge, isa.OpJsge},
-}
-
 func (e *mirEmitter) emitCmpInsn(in *mir.Insn) error {
-	cmp, ok := comparisonOps[in.Bin]
-	if !ok {
-		return fmt.Errorf("compile: unknown comparison %q", in.Bin)
-	}
-	op := cmp.unsigned
-	if in.Signed {
-		op = cmp.signed
-	}
 	rA := e.readV(in.A, isa.R1)
 	var rB isa.Register
 	if !in.BIsImm {
@@ -452,9 +426,9 @@ func (e *mirEmitter) emitCmpInsn(in *mir.Insn) error {
 	}
 	e.emit(isa.Mov64Imm(t, 1))
 	if in.BIsImm {
-		e.emit(isa.JmpImm(op, rA, int32(in.BImm), 1))
+		e.emit(isa.JmpImm(in.Bin, rA, int32(in.BImm), 1))
 	} else {
-		e.emit(isa.JmpReg(op, rA, rB, 1))
+		e.emit(isa.JmpReg(in.Bin, rA, rB, 1))
 	}
 	e.emit(isa.Mov64Imm(t, 0))
 	e.finish(in.Dst, t)
@@ -506,21 +480,13 @@ func (e *mirEmitter) emitTerm(t *mir.Terminator, next mir.BlockID) error {
 		}
 
 	case mir.TermCond:
-		cmp, ok := comparisonOps[t.Rel]
-		if !ok {
-			return fmt.Errorf("compile: unknown relation %q", t.Rel)
-		}
-		op := cmp.unsigned
-		if t.Signed {
-			op = cmp.signed
-		}
 		rA := e.readV(t.A, isa.R1)
 		var site int
 		if t.BIsImm {
-			site = e.emit(isa.JmpImm(op, rA, int32(t.BImm), 0))
+			site = e.emit(isa.JmpImm(t.Rel, rA, int32(t.BImm), 0))
 		} else {
 			rB := e.readV(t.B, isa.R2)
-			site = e.emit(isa.JmpReg(op, rA, rB, 0))
+			site = e.emit(isa.JmpReg(t.Rel, rA, rB, 0))
 		}
 		e.jumpFixes = append(e.jumpFixes, jumpFix{site, t.To})
 		if t.Else != next {

@@ -426,9 +426,12 @@ func TestSLXDifferentialFuzz(t *testing.T) {
 //
 // The checked-in corpus entry testdata/fuzz/FuzzSLXDifferential/
 // shift-mask-div-trap pins a seed whose program shifts by variable amounts
-// ≥64 and below zero: all three layers (compile's emitted mask, the
-// interpreter's EvalALU, and the JIT that reuses it) mask shift amounts
-// with src & 63, and this seed keeps that equivalence under test. The same
+// ≥64 and below zero: compile's emitted mask and isa.ALU, which both
+// engines execute, mask shift amounts with src & 63, and this seed holds
+// them to the Go reference model. That model shares no code with isa, so
+// it checks the one table the optimizer folds with and translation
+// validation evaluates in — the validator itself checks only the
+// optimizer's rewrites, never the table. The same
 // seed also carries a literal zero divisor, pinning trap-verdict equality
 // between builds. The entry emitter-writeback-self-add pins a seed whose
 // program computes into a register-resident variable from itself: the
